@@ -213,6 +213,28 @@ func BenchmarkMVStoreReadAt(b *testing.B) {
 	}
 }
 
+// BenchmarkMVStorePruneBelow is one client GC step (Section III-C): a
+// batch writes a few of the objects the client knows, then the server's
+// installed point lets it prune. Known objects far outnumber one batch's
+// writes, as on a spread-out world.
+func BenchmarkMVStorePruneBelow(b *testing.B) {
+	const known, perBatch = 1024, 4
+	m := world.NewMVStore()
+	for id := 0; id < known; id++ {
+		m.WriteAt(world.ObjectID(id), 0, world.Value{0, 0, 0, 0})
+	}
+	val := world.Value{1, 2, 3, 4}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq := uint64(i + 1)
+		for j := 0; j < perBatch; j++ {
+			m.WriteAt(world.ObjectID((i*perBatch+j)%known), seq, val)
+		}
+		m.PruneBelow(seq)
+	}
+}
+
 func BenchmarkMoveApply(b *testing.B) {
 	wcfg := manhattan.DefaultConfig()
 	wcfg.NumWalls = 10_000

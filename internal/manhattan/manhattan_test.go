@@ -222,6 +222,37 @@ func TestMoveDeterministic(t *testing.T) {
 	}
 }
 
+// TestMoveApplyDoesNotAllocate pins the client evaluation contract: on
+// a reused transaction, as in the client's re-apply loop, a move with
+// neighbours among dense walls allocates nothing, and WriteSet hands out
+// the set built with the move.
+func TestMoveApplyDoesNotAllocate(t *testing.T) {
+	cfg := smallConfig()
+	cfg.NumWalls = 2000
+	w := NewWorld(cfg)
+	st := w.InitialState(4)
+	m, err := w.NewMove(action.ID{Client: 2, Seq: 1}, AvatarID(2), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ReadSet().Len() < 3 {
+		t.Fatalf("read set %v has too few neighbours to exercise Apply", m.ReadSet())
+	}
+	tx := world.NewTx(world.StateView{S: st})
+	apply := func() {
+		tx.Reset(world.StateView{S: st})
+		if !action.EvalTx(m, tx).OK {
+			t.Fatal("move aborted")
+		}
+	}
+	if n := testing.AllocsPerRun(100, apply); n != 0 {
+		t.Fatalf("Apply: %v allocs per evaluation, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.WriteSet() }); n != 0 {
+		t.Fatalf("WriteSet: %v allocs per call, want 0", n)
+	}
+}
+
 func TestMoveWireRoundTrip(t *testing.T) {
 	w := NewWorld(smallConfig())
 	st := w.InitialState(4)
@@ -236,6 +267,9 @@ func TestMoveWireRoundTrip(t *testing.T) {
 	}
 	if !got.ReadSet().Equal(m.ReadSet()) {
 		t.Fatalf("read set = %v, want %v", got.ReadSet(), m.ReadSet())
+	}
+	if !got.WriteSet().Equal(m.WriteSet()) {
+		t.Fatalf("write set = %v, want %v", got.WriteSet(), m.WriteSet())
 	}
 	if got.VisibleWalls() != m.VisibleWalls() {
 		t.Fatalf("visible walls = %d, want %d", got.VisibleWalls(), m.VisibleWalls())

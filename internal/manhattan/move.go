@@ -24,9 +24,11 @@ const KindMove action.Kind = 1
 // so every replica that evaluates it with the same versions computes the
 // same result.
 type MoveAction struct {
-	id     action.ID
-	w      *World
-	avatar world.ObjectID
+	id action.ID
+	w  *World
+	// ws is WS(a), the moving avatar alone: built once, so WriteSet and
+	// Apply read the same set without allocating.
+	ws world.IDSet
 	// origin is the avatar position at creation: the center of the
 	// action's influence sphere (p̄A of Equation (1)), and the position
 	// Algorithm 7 measures chain distances between.
@@ -52,7 +54,7 @@ func (w *World) NewMove(id action.ID, avatar world.ObjectID, view world.Reader) 
 	return &MoveAction{
 		id:           id,
 		w:            w,
-		avatar:       avatar,
+		ws:           world.IDSet{avatar},
 		origin:       pos,
 		heading:      AvatarDir(v),
 		visibleWalls: w.VisibleWalls(pos),
@@ -71,13 +73,13 @@ func (m *MoveAction) Kind() action.Kind { return KindMove }
 func (m *MoveAction) ReadSet() world.IDSet { return m.rs }
 
 // WriteSet returns the moving avatar.
-func (m *MoveAction) WriteSet() world.IDSet { return world.NewIDSet(m.avatar) }
+func (m *MoveAction) WriteSet() world.IDSet { return m.ws }
 
 // VisibleWalls returns the wall count the move's cost is based on.
 func (m *MoveAction) VisibleWalls() int { return m.visibleWalls }
 
 // Avatar returns the moving avatar's object id.
-func (m *MoveAction) Avatar() world.ObjectID { return m.avatar }
+func (m *MoveAction) Avatar() world.ObjectID { return m.ws[0] }
 
 // CostMs implements the per-move compute cost, charged by the simulation
 // adapter to whichever node evaluates the move.
@@ -100,15 +102,19 @@ func (m *MoveAction) Motion() geom.Vec {
 // advance, bounce 90° on collision. If the avatar's tuple is missing the
 // move aborts as a no-op (Bayou-style conflict behaviour).
 func (m *MoveAction) Apply(tx *world.Tx) bool {
-	self, ok := tx.Read(m.avatar)
+	avatar := m.ws[0] // taken from WS(a), so seve-vet traces the Read and Write to it
+	self, ok := tx.Read(avatar)
 	if !ok {
 		return false
 	}
 	pos, dir := AvatarPos(self), AvatarDir(self)
 
-	var others []geom.Vec
+	// Effect range 10 holds a handful of avatars; the buffer keeps them
+	// off the heap unless the crowd is denser than that.
+	var buf [16]geom.Vec
+	others := buf[:0]
 	for _, id := range m.rs {
-		if id == m.avatar {
+		if id == avatar {
 			continue
 		}
 		if v, ok := tx.Read(id); ok {
@@ -123,7 +129,7 @@ func (m *MoveAction) Apply(tx *world.Tx) bool {
 		dir = dir.Rotate90()
 		next = pos
 	}
-	tx.Write(m.avatar, world.Value{next.X, next.Y, dir.X, dir.Y})
+	tx.Write(avatar, world.Value{next.X, next.Y, dir.X, dir.Y})
 	return true
 }
 
@@ -142,9 +148,7 @@ func (m *MoveAction) blocked(next geom.Vec, others []geom.Vec) bool {
 	// Wall check against walls near the new position. The index lookup
 	// is a stand-in for the paper's trig-heavy per-wall collision math;
 	// the real cost is charged via CostMs.
-	var hits []int32
-	hits = m.w.Walls.Within(next, cfg.AvatarRadius, hits)
-	return len(hits) > 0
+	return m.w.Walls.AnyWithin(next, cfg.AvatarRadius)
 }
 
 // MarshalBody encodes avatar id, origin, heading, visible walls and the
@@ -157,7 +161,7 @@ func (m *MoveAction) MarshalBody() []byte {
 
 // AppendBody appends the MarshalBody encoding to buf.
 func (m *MoveAction) AppendBody(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.avatar))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Avatar()))
 	buf = appendFloat(buf, m.origin.X)
 	buf = appendFloat(buf, m.origin.Y)
 	buf = appendFloat(buf, m.heading.X)
@@ -190,7 +194,7 @@ func UnmarshalMove(w *World, id action.ID, body []byte) (*MoveAction, error) {
 		return nil, fmt.Errorf("manhattan: move body truncated: %d bytes", len(body))
 	}
 	m := &MoveAction{id: id, w: w}
-	m.avatar = world.ObjectID(binary.LittleEndian.Uint64(body))
+	m.ws = world.IDSet{world.ObjectID(binary.LittleEndian.Uint64(body))}
 	m.origin.X = floatFrom(body[8:])
 	m.origin.Y = floatFrom(body[16:])
 	m.heading.X = floatFrom(body[24:])

@@ -1,6 +1,9 @@
 package world
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // MVStore is a multiversion object store: each object keeps a chain of
 // (seq, value) versions, where seq is the server-assigned serial position
@@ -21,6 +24,13 @@ import "sort"
 // garbage collect") maps to PruneBelow.
 type MVStore struct {
 	chains map[ObjectID][]version
+	// multi lists, once each, the objects whose chain holds more than
+	// one version: the only chains PruneBelow can shorten. WriteAt adds
+	// an object as its chain grows to two versions; PruneBelow and
+	// TruncateAbove drop the objects they cut back to one or none. A
+	// client's GC step therefore costs what changed since the last one,
+	// not every object it has ever been sent.
+	multi []ObjectID
 }
 
 type version struct {
@@ -56,6 +66,9 @@ func (m *MVStore) WriteAt(id ObjectID, seq uint64, v Value) {
 	copy(chain[i+1:], chain[i:])
 	chain[i] = version{seq: seq, val: v.Clone()}
 	m.chains[id] = chain
+	if len(chain) == 2 {
+		m.multi = append(m.multi, id)
+	}
 }
 
 // ReadAt returns the value of id as of serial position seq: the newest
@@ -111,18 +124,24 @@ func (m *MVStore) Known(id ObjectID) bool {
 // client-side garbage collection triggered by the server's last-installed
 // notifications.
 func (m *MVStore) PruneBelow(seq uint64) {
-	for id, chain := range m.chains {
+	kept := m.multi[:0]
+	for _, id := range m.multi {
+		chain := m.chains[id]
 		i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
-		if i <= 1 {
-			continue
+		if i > 1 {
+			// chain[i-1] is the newest version at or below seq; collapse
+			// everything below it, in place.
+			chain[0] = version{seq: seq, val: chain[i-1].val}
+			n := 1 + copy(chain[1:], chain[i:])
+			clear(chain[n:])
+			chain = chain[:n]
+			m.chains[id] = chain
 		}
-		// chain[i-1] is the newest version at or below seq; collapse
-		// everything below it.
-		kept := make([]version, 0, len(chain)-i+1)
-		kept = append(kept, version{seq: seq, val: chain[i-1].val})
-		kept = append(kept, chain[i:]...)
-		m.chains[id] = kept
+		if len(chain) > 1 {
+			kept = append(kept, id)
+		}
 	}
+	m.multi = kept
 }
 
 // TruncateAbove discards versions newer than seq, dropping objects
@@ -145,6 +164,7 @@ func (m *MVStore) TruncateAbove(seq uint64) {
 		}
 		m.chains[id] = chain[:i]
 	}
+	m.multi = slices.DeleteFunc(m.multi, func(id ObjectID) bool { return len(m.chains[id]) < 2 })
 }
 
 // Versions reports the total number of stored versions, for memory

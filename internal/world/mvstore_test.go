@@ -2,6 +2,7 @@ package world
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +207,129 @@ func TestMVStorePruneInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fullScanPruneBelow is the PruneBelow the multi-version set replaced:
+// every chain the store holds is searched on every call.
+func fullScanPruneBelow(m *MVStore, seq uint64) {
+	for id, chain := range m.chains {
+		i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
+		if i <= 1 {
+			continue
+		}
+		kept := make([]version, 0, len(chain)-i+1)
+		kept = append(kept, version{seq: seq, val: chain[i-1].val})
+		kept = append(kept, chain[i:]...)
+		m.chains[id] = kept
+	}
+}
+
+// checkMulti asserts the multi-version set lists exactly the objects
+// whose chain holds more than one version, each once.
+func checkMulti(t *testing.T, m *MVStore) {
+	t.Helper()
+	listed := map[ObjectID]bool{}
+	for _, id := range m.multi {
+		if listed[id] {
+			t.Fatalf("object %d listed twice in %v", id, m.multi)
+		}
+		listed[id] = true
+		if len(m.chains[id]) < 2 {
+			t.Fatalf("object %d listed with %d versions", id, len(m.chains[id]))
+		}
+	}
+	for id, chain := range m.chains {
+		if len(chain) > 1 && !listed[id] {
+			t.Fatalf("object %d holds %d versions but is not listed", id, len(chain))
+		}
+	}
+}
+
+// TestMVStoreIncrementalPruneMatchesFullScan runs random WriteAt,
+// PruneBelow and TruncateAbove sequences — rewrites after truncation
+// included — against a store pruned by the full scan, and requires
+// identical version chains, ReadAt answers, Versions and IDs throughout.
+func TestMVStoreIncrementalPruneMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, ref := NewMVStore(), NewMVStore()
+		const objects = 12
+		var floor, top uint64 // prune floor; highest seq written
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(10); {
+			case k < 6:
+				id := ObjectID(rng.Intn(objects))
+				seq := floor + uint64(rng.Intn(30))
+				val := Value{rng.Float64()}
+				got.WriteAt(id, seq, val)
+				ref.WriteAt(id, seq, val)
+				top = max(top, seq)
+			case k < 9:
+				floor += uint64(rng.Intn(8))
+				top = max(top, floor)
+				got.PruneBelow(floor)
+				fullScanPruneBelow(ref, floor)
+			default:
+				cut := floor + uint64(rng.Intn(int(top-floor)+1))
+				got.TruncateAbove(cut)
+				ref.TruncateAbove(cut)
+				top = cut
+			}
+			checkMulti(t, got)
+			for id := ObjectID(0); id < objects; id++ {
+				gc, rc := got.chains[id], ref.chains[id]
+				if len(gc) != len(rc) {
+					t.Fatalf("seed %d op %d: object %d chain %v, full scan %v", seed, op, id, gc, rc)
+				}
+				for i := range gc {
+					if gc[i].seq != rc[i].seq || !gc[i].val.Equal(rc[i].val) {
+						t.Fatalf("seed %d op %d: object %d chain %v, full scan %v", seed, op, id, gc, rc)
+					}
+				}
+				for at := floor; at <= top+1; at++ {
+					v1, ok1 := got.ReadAt(id, at)
+					v2, ok2 := ref.ReadAt(id, at)
+					if ok1 != ok2 || (ok1 && !v1.Equal(v2)) {
+						t.Fatalf("seed %d op %d: ReadAt(%d, %d) = %v %v, full scan %v %v", seed, op, id, at, v1, ok1, v2, ok2)
+					}
+				}
+			}
+			if got.Versions() != ref.Versions() || !got.IDs().Equal(ref.IDs()) {
+				t.Fatalf("seed %d op %d: %d versions of %v, full scan %d of %v",
+					seed, op, got.Versions(), got.IDs(), ref.Versions(), ref.IDs())
+			}
+		}
+	}
+}
+
+// TestMVStoreMultiSetBounded cycles truncate and rewrite on the same
+// objects: the multi-version set must never list an object twice nor
+// outgrow the objects that hold several versions.
+func TestMVStoreMultiSetBounded(t *testing.T) {
+	m := NewMVStore()
+	for id := ObjectID(0); id < 8; id++ {
+		m.WriteAt(id, 0, Value{0})
+	}
+	for cycle := uint64(1); cycle <= 200; cycle++ {
+		base := cycle * 10
+		for id := ObjectID(0); id < 8; id++ {
+			m.WriteAt(id, base+1, Value{1})
+			m.WriteAt(id, base+2, Value{2})
+		}
+		checkMulti(t, m)
+		if len(m.multi) != 8 {
+			t.Fatalf("cycle %d: %d objects listed, want 8", cycle, len(m.multi))
+		}
+		m.TruncateAbove(base) // a boot fence: the rewritten suffix goes
+		checkMulti(t, m)
+		m.PruneBelow(base)
+		checkMulti(t, m)
+		if len(m.multi) != 0 || m.Versions() != 8 {
+			t.Fatalf("cycle %d: %d listed, %d versions after fence and prune", cycle, len(m.multi), m.Versions())
+		}
+	}
+	if cap(m.multi) > 16 {
+		t.Fatalf("multi-version set grew to capacity %d over truncate/rewrite cycles", cap(m.multi))
 	}
 }

@@ -13,8 +13,9 @@
 # read/write-set, pool-ownership, nocopy, determinism, lock-region,
 # lane-affinity and delivery-class contracts (DESIGN.md §9, §14); the
 # fuzz pass keeps Decode honest against hostile frames beyond the
-# checked-in corpus; the coverage gate keeps the protocol engine and
-# the reconnect-capable transport from losing test reach as they grow
+# checked-in corpus; the coverage gate keeps the protocol engine, the
+# reconnect-capable transport, and the client evaluation path's wall
+# index and version store from losing test reach as they grow
 # (baselines sit a little under the measured coverage so legitimate
 # refactors don't trip on noise).
 set -eu
@@ -33,8 +34,8 @@ go test -race ./...
 go test -shuffle=on ./...
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/wire
 
-# Coverage gate: statement coverage of the two packages the resume
-# protocol cuts through must not regress below the floor.
+# Coverage gate: statement coverage of the packages the resume protocol
+# and client move evaluation cut through must not regress below the floor.
 cover_gate() {
     pkg="$1"
     floor="$2"
@@ -51,3 +52,5 @@ cover_gate() {
 cover_gate ./internal/core 90
 cover_gate ./internal/transport 75
 cover_gate ./internal/integrity 90
+cover_gate ./internal/spatial 95
+cover_gate ./internal/world 90
