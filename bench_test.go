@@ -254,6 +254,76 @@ func BenchmarkMoveApply(b *testing.B) {
 	}
 }
 
+// BenchmarkClientApplyRemote is one remote-move batch into a warmed
+// client: Algorithm 4 step 4 evaluates the move against ζCS at its serial
+// position through the client's reused stable transaction, installs the
+// write, copies it through to ζCO and garbage-collects at the batch's
+// install point. The batch value is reused, so allocations are the
+// engine's own.
+func BenchmarkClientApplyRemote(b *testing.B) {
+	wcfg := manhattan.DefaultConfig()
+	wcfg.Width, wcfg.Height = 100, 100
+	wcfg.NumWalls = 200
+	wcfg.NumAvatars = 64
+	w := manhattan.NewWorld(wcfg)
+	init := w.InitialState(0)
+	cfg := core.DefaultConfig()
+	cfg.Mode = core.ModeIncomplete
+	cl := core.NewClient(1, cfg, init)
+	var moves []*manhattan.MoveAction
+	for av := 2; av <= 17; av++ {
+		mv, err := w.NewMove(action.ID{Client: action.ClientID(av), Seq: 1}, manhattan.AvatarID(av), init)
+		if err != nil {
+			b.Fatal(err)
+		}
+		moves = append(moves, mv)
+	}
+	batch := &wire.Batch{Envs: make([]action.Envelope, 1)}
+	apply := func(i int) {
+		seq := uint64(i + 1)
+		mv := moves[i%len(moves)]
+		batch.ClientSeq, batch.InstalledUpTo = seq, seq
+		batch.Envs[0] = action.Envelope{Seq: seq, Origin: mv.ID().Client, Act: mv}
+		if out := cl.HandleBatch(batch); len(out.Applied) != 1 {
+			b.Fatalf("batch %d applied %d actions", seq, len(out.Applied))
+		}
+	}
+	const warm = 64
+	for i := 0; i < warm; i++ {
+		apply(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply(warm + i)
+	}
+}
+
+// BenchmarkTxBlindWrite evaluates a closure blind write of n objects, in
+// the ascending id order the server emits them, through one reused
+// transaction — the client's stable path for the largest write logs it
+// sees.
+func BenchmarkTxBlindWrite(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("writes=%d", n), func(b *testing.B) {
+			writes := make([]world.Write, n)
+			for i := range writes {
+				writes[i] = world.Write{ID: world.ObjectID(3 * (i + 1)), Val: world.Value{1, 2, 3, 4}}
+			}
+			bw := action.NewBlindWrite(action.ID{Client: action.OriginServer, Seq: 1}, writes)
+			view := world.StateView{S: world.NewState()}
+			tx := world.NewTx(view)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tx.Reset(view)
+				if res := action.EvalTx(bw, tx); len(res.Writes) != n {
+					b.Fatalf("%d writes, want %d", len(res.Writes), n)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkWireBatchRoundTrip(b *testing.B) {
 	bw := action.NewBlindWrite(action.ID{Client: action.OriginServer, Seq: 1},
 		[]world.Write{{ID: 1, Val: world.Value{1, 2, 3, 4}}, {ID: 2, Val: world.Value{5, 6, 7, 8}}})

@@ -60,11 +60,18 @@ type Client struct {
 	divScratch      []uint32
 	resolvedScratch []uint32
 
-	// scratchTx is the reusable transaction for the reconcile re-apply
-	// loop. It must never back a Result that escapes the engine
-	// (completions and commits alias their transaction's write log), so
-	// only reconcile uses it.
-	scratchTx *world.Tx
+	// The engine evaluates every action through one of two reusable
+	// transactions, so a Result it computes aliases that transaction's
+	// write log until the next evaluation on it. scratchTx serves ζCO:
+	// Submit's optimistic evaluation and Algorithm 3's re-apply loop.
+	// stableTx serves ζCS in applyStable, read through stableView. They
+	// must be distinct because handleOwn still holds the stable result u
+	// while reconcile re-applies the queue. A Result that escapes the
+	// engine — Commit.Res, a Completion's Res, Submit's return value — is
+	// deep-copied at the point it escapes (DESIGN.md §8).
+	scratchTx  *world.Tx
+	stableTx   *world.Tx
+	stableView world.AtView
 
 	// Session-resume state (Config.ResumeWindow > 0). sentCompletions
 	// retains the completion messages for own committed actions until a
@@ -155,6 +162,7 @@ func NewClient(id action.ClientID, cfg Config, init *world.State) *Client {
 	}
 	c.div.Reset(0)
 	c.scratchTx = world.NewTx(world.StateView{S: c.co})
+	c.stableTx = world.NewTx(&c.stableView)
 	return c
 }
 
@@ -234,7 +242,8 @@ func (c *Client) markDiverged(id world.ObjectID) {
 //
 // The action must have been given an ID from NextActionID. The optimistic
 // result is returned so the application can render the action's
-// provisional effect immediately.
+// provisional effect immediately. It is the caller's own copy: the queue
+// keeps a separate one, which reconciliation refreshes in place.
 func (c *Client) Submit(a action.Action) (*wire.Submit, action.Result) {
 	v := c.applyOptimistic(a)
 	wsd := c.intern.InternSet(a.WriteSet(), nil)
@@ -244,12 +253,14 @@ func (c *Client) Submit(a action.Action) (*wire.Submit, action.Result) {
 		c.wsq.Inc(o)
 	}
 	c.queue = append(c.queue, pendingAction{act: a, optimistic: v.Clone(), wsd: wsd})
-	return &wire.Submit{Env: action.Envelope{Origin: c.id, Act: a}}, v
+	return &wire.Submit{Env: action.Envelope{Origin: c.id, Act: a}}, v.Clone()
 }
 
-// applyOptimistic evaluates a against ζCO and applies its writes.
+// applyOptimistic evaluates a against ζCO through scratchTx and applies
+// its writes. The Result aliases scratchTx until its next Reset.
 func (c *Client) applyOptimistic(a action.Action) action.Result {
-	res := action.Eval(a, world.StateView{S: c.co})
+	c.scratchTx.Reset(world.StateView{S: c.co})
+	res := action.EvalTx(a, c.scratchTx)
 	c.applyOptimisticWrites(res)
 	return res
 }
@@ -432,7 +443,7 @@ func (c *Client) handleRemote(env action.Envelope, out *ClientOutput) {
 	if c.cfg.FailureTolerant && env.Origin != action.OriginServer {
 		// Failure-tolerance extension: complete every applied action.
 		out.ToServer = append(out.ToServer, &wire.Completion{
-			Seq: env.Seq, By: c.id, Res: res,
+			Seq: env.Seq, By: c.id, Res: res.Clone(),
 		})
 	}
 }
@@ -472,7 +483,7 @@ func (c *Client) handleOwn(env action.Envelope, out *ClientOutput) {
 	})
 
 	if c.cfg.Mode >= ModeIncomplete {
-		cm := &wire.Completion{Seq: env.Seq, By: c.id, Res: u}
+		cm := &wire.Completion{Seq: env.Seq, By: c.id, Res: u.Clone()}
 		out.ToServer = append(out.ToServer, cm)
 		if c.cfg.ResumeWindow > 0 {
 			// Retain until a batch's InstalledUpTo covers it: if this
@@ -518,15 +529,19 @@ func (c *Client) inQueue(id action.ID) bool {
 // installs its writes at that position. Each installed object is marked
 // diverged: the stable version moved, so it may no longer match ζCO.
 //
-// The transaction is deliberately fresh per call — the returned Result
-// aliases its write log and escapes in completion messages.
+// The evaluation runs through the reused stableTx, so the returned Result
+// aliases its write log and is valid only until the next applyStable:
+// callers clone it where it escapes the engine.
 func (c *Client) applyStable(env action.Envelope, out *ClientOutput) action.Result {
 	at := env.Seq
 	if at > 0 {
 		at-- // an action at position n reads the state after 1..n-1
 	}
-	view := world.AtView{M: c.cs, Seq: at}
-	tx := world.NewTx(view)
+	// ζCS is replaced wholesale by a snapshot resume, so the view is
+	// re-pointed on every call.
+	c.stableView = world.AtView{M: c.cs, Seq: at}
+	tx := c.stableTx
+	tx.Reset(&c.stableView)
 	ok := env.Act.Apply(tx)
 
 	if c.cfg.Strict {
@@ -731,10 +746,7 @@ func (c *Client) fenceBoot(m *wire.CatchUp, out *ClientOutput) {
 		c.cs.TruncateAbove(m.BootFloor)
 		c.co = c.cs.LatestState()
 		c.div.Reset(c.intern.Len())
-		for i := range c.queue {
-			res := c.applyOptimistic(c.queue[i].act)
-			res.CloneInto(&c.queue[i].optimistic)
-		}
+		c.reapplyQueue()
 	}
 }
 
@@ -764,10 +776,7 @@ func (c *Client) rebuildFromSnapshot(m *wire.CatchUp) {
 	// optimistic re-apply below. wsq is untouched — the queue (after
 	// drop processing) still owns exactly its declared write sets.
 	c.div.Reset(c.intern.Len())
-	for i := range c.queue {
-		res := c.applyOptimistic(c.queue[i].act)
-		res.CloneInto(&c.queue[i].optimistic)
-	}
+	c.reapplyQueue()
 	// Batch numbering restarts; anything buffered predates the snapshot.
 	// A forward jump means the skipped numbers' frames were superseded
 	// (mid-session catch-up) or lost past the window — either way they
@@ -859,9 +868,7 @@ func (c *Client) reconcile(resolvedWS world.IDSet) {
 	if c.cfg.DisableIncrementalReconcile {
 		ws := c.queueWriteSet().Union(resolvedWS)
 		c.co.CopyFrom(c.cs, ws)
-		for i := range c.queue {
-			c.queue[i].optimistic = c.applyOptimistic(c.queue[i].act).Clone()
-		}
+		c.reapplyQueue()
 		return
 	}
 
@@ -897,13 +904,14 @@ func (c *Client) reconcile(resolvedWS world.IDSet) {
 		c.reconcileCopies++
 	}
 
-	// Re-apply the still-pending queue through the scratch transaction,
-	// refreshing each optimistic result into its existing buffers.
+	c.reapplyQueue()
+}
+
+// reapplyQueue re-applies the pending queue to ζCO in order through
+// scratchTx, refreshing each optimistic result into its existing buffers.
+func (c *Client) reapplyQueue() {
 	for i := range c.queue {
-		c.scratchTx.Reset(world.StateView{S: c.co})
-		res := action.EvalTx(c.queue[i].act, c.scratchTx)
-		c.applyOptimisticWrites(res)
-		res.CloneInto(&c.queue[i].optimistic)
+		c.applyOptimistic(c.queue[i].act).CloneInto(&c.queue[i].optimistic)
 	}
 }
 

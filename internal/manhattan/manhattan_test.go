@@ -1,6 +1,7 @@
 package manhattan
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -223,8 +224,9 @@ func TestMoveDeterministic(t *testing.T) {
 }
 
 // TestMoveApplyDoesNotAllocate pins the client evaluation contract: on
-// a reused transaction, as in the client's re-apply loop, a move with
-// neighbours among dense walls allocates nothing, and WriteSet hands out
+// a reused transaction, as in the client's stable and re-apply loops, a
+// move with neighbours among dense walls allocates nothing — even after
+// the transaction carried a large blind write — and WriteSet hands out
 // the set built with the move.
 func TestMoveApplyDoesNotAllocate(t *testing.T) {
 	cfg := smallConfig()
@@ -238,7 +240,17 @@ func TestMoveApplyDoesNotAllocate(t *testing.T) {
 	if m.ReadSet().Len() < 3 {
 		t.Fatalf("read set %v has too few neighbours to exercise Apply", m.ReadSet())
 	}
+	// The reused transaction first carries a 64-write closure blind
+	// write: Reset must re-arm it without clearing anything sized by that
+	// run, so the move still costs nothing afterwards.
+	blind := make([]world.Write, 64)
+	for i := range blind {
+		blind[i] = world.Write{ID: world.ObjectID(1000 + i), Val: world.Value{float64(i)}}
+	}
 	tx := world.NewTx(world.StateView{S: st})
+	if !action.EvalTx(action.NewBlindWrite(action.ID{Client: action.OriginServer, Seq: 1}, blind), tx).OK {
+		t.Fatal("blind write aborted")
+	}
 	apply := func() {
 		tx.Reset(world.StateView{S: st})
 		if !action.EvalTx(m, tx).OK {
@@ -295,6 +307,51 @@ func TestMoveUnmarshalErrors(t *testing.T) {
 	body := m.MarshalBody()
 	if _, err := UnmarshalMove(w, action.ID{}, body[:len(body)-4]); err == nil {
 		t.Fatal("truncated read set accepted")
+	}
+}
+
+// TestMoveUnmarshalNormalizesReadSet decodes a hand-built body whose
+// read set is unsorted and holds duplicates — no AppendBody output looks
+// like that — and expects the normalized set, while a body from
+// AppendBody decodes its read set in one allocation.
+func TestMoveUnmarshalNormalizesReadSet(t *testing.T) {
+	w := NewWorld(smallConfig())
+	body := binary.LittleEndian.AppendUint64(nil, uint64(AvatarID(2)))
+	for _, f := range []float64{10, 20, 1, 0} { // origin, heading
+		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(f))
+	}
+	body = binary.LittleEndian.AppendUint32(body, 7) // visible walls
+	raw := []world.ObjectID{AvatarID(5), AvatarID(2), AvatarID(9), AvatarID(2), AvatarID(5)}
+	body = binary.LittleEndian.AppendUint16(body, uint16(len(raw)))
+	for _, id := range raw {
+		body = binary.LittleEndian.AppendUint64(body, uint64(id))
+	}
+	m, err := UnmarshalMove(w, action.ID{Client: 2, Seq: 1}, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := world.IDSet{AvatarID(2), AvatarID(5), AvatarID(9)}
+	if !m.ReadSet().Equal(want) {
+		t.Fatalf("read set = %v, want %v", m.ReadSet(), want)
+	}
+	if m.Avatar() != AvatarID(2) || m.VisibleWalls() != 7 {
+		t.Fatalf("header fields lost: avatar %d, walls %d", m.Avatar(), m.VisibleWalls())
+	}
+
+	st := w.InitialState(8)
+	mv, _ := w.NewMove(action.ID{Client: 3, Seq: 1}, AvatarID(3), st)
+	if mv.ReadSet().Len() < 2 {
+		t.Fatalf("read set %v too small to exercise the sorted path", mv.ReadSet())
+	}
+	enc := mv.MarshalBody()
+	// One allocation for the action, one for its write set, one for the
+	// read set.
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := UnmarshalMove(w, mv.ID(), enc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 3 {
+		t.Fatalf("UnmarshalMove: %v allocs, want 3", n)
 	}
 }
 

@@ -204,11 +204,19 @@ func UnmarshalMove(w *World, id action.ID, body []byte) (*MoveAction, error) {
 	if len(body) < hdr+8*n {
 		return nil, fmt.Errorf("manhattan: move read set truncated")
 	}
-	ids := make([]world.ObjectID, n)
-	for i := 0; i < n; i++ {
+	// AppendBody writes the read set as the sorted IDSet it is, so the
+	// decoded ids are normally already a set and are kept as decoded. A
+	// body from any other encoder is normalized.
+	ids := make(world.IDSet, n)
+	sorted := true
+	for i := range ids {
 		ids[i] = world.ObjectID(binary.LittleEndian.Uint64(body[hdr+8*i:]))
+		sorted = sorted && (i == 0 || ids[i-1] < ids[i])
 	}
-	m.rs = world.NewIDSet(ids...)
+	if !sorted {
+		ids = world.NewIDSet(ids...)
+	}
+	m.rs = ids
 	return m, nil
 }
 

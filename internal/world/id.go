@@ -5,7 +5,10 @@
 // and the server keeps the authoritative state ζS.
 package world
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ObjectID identifies an object in the world state.
 type ObjectID uint64
@@ -20,15 +23,8 @@ type IDSet []ObjectID
 func NewIDSet(ids ...ObjectID) IDSet {
 	s := make(IDSet, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// Deduplicate in place.
-	out := s[:0]
-	for i, id := range s {
-		if i == 0 || id != s[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // Len reports the number of ids in the set.

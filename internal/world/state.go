@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 )
 
 // State is a single-version object store. The server's authoritative
@@ -161,7 +161,7 @@ func (s *State) forEach(fn func(id ObjectID, v Value)) {
 func (s *State) IDs() IDSet {
 	ids := make(IDSet, 0, s.Len())
 	s.forEach(func(id ObjectID, _ Value) { ids = append(ids, id) })
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -1,6 +1,6 @@
 package world
 
-import "sort"
+import "slices"
 
 // Write is one recorded write: the pair (x, v) of a "write x ← v"
 // performed by an action (Algorithm 1, step 4). Completion messages carry
@@ -44,36 +44,55 @@ func (v LatestView) Read(id ObjectID) (Value, bool) {
 // (read-your-writes semantics) so an action's actual accesses can be
 // checked against its declared RS(a)/WS(a) and its effect extracted as a
 // list of Writes.
+//
+// A Tx holds no maps. Reads are appended to a log that ReadSet sorts and
+// deduplicates only when asked (strict-mode access checks and tests). A
+// buffered write is found by scanning the write log: a move writes one
+// object, and the largest write logs — closure blind writes, bounded by
+// the closure's read set — arrive in ascending id order, which the
+// maxWrite fast path below turns into plain appends. Reset therefore
+// costs only slice truncation, whatever the largest run it ever held.
 type Tx struct {
 	view     View
-	readSet  map[ObjectID]struct{}
-	writeLog []Write
-	writeMap map[ObjectID]int // index into writeLog of latest write
-	missed   []ObjectID       // reads of unknown objects
+	reads    []ObjectID // every id read or written, in access order
+	writeLog []Write    // one record per written id, in first-write order
+	// maxWrite is the largest id in writeLog (meaningful only when the
+	// log is non-empty): an id above it cannot be buffered, so Read and
+	// Write skip the scan for it.
+	maxWrite ObjectID
+	missed   []ObjectID // reads of unknown objects
 }
 
 // NewTx returns a transaction reading from view.
 func NewTx(view View) *Tx {
-	return &Tx{
-		view:     view,
-		readSet:  make(map[ObjectID]struct{}),
-		writeMap: make(map[ObjectID]int),
-	}
+	return &Tx{view: view}
 }
 
-// Reset re-arms tx for a fresh run against view, keeping its maps, write
-// log and value buffers for reuse. Any Result or Writes slice taken from
-// the previous run aliases those buffers, so the caller must have deep-
+// Reset re-arms tx for a fresh run against view, keeping its logs and
+// value buffers for reuse. Any Result or Writes slice taken from the
+// previous run aliases those buffers, so the caller must have deep-
 // copied what it intends to keep (Result.CloneInto) before resetting.
-// The client engine's Algorithm 3 re-apply loop runs every queued action
-// through one such scratch transaction instead of allocating a Tx — and
-// two maps and a value clone per write — for each.
+// The client engine evaluates every stable and optimistic action through
+// such reused transactions instead of allocating a Tx — and a value
+// clone per write — for each.
 func (tx *Tx) Reset(view View) {
 	tx.view = view
-	clear(tx.readSet)
-	clear(tx.writeMap)
+	tx.reads = tx.reads[:0]
 	tx.writeLog = tx.writeLog[:0]
 	tx.missed = tx.missed[:0]
+}
+
+// buffered returns the write-log index of id's buffered write, or -1.
+func (tx *Tx) buffered(id ObjectID) int {
+	if len(tx.writeLog) == 0 || id > tx.maxWrite {
+		return -1
+	}
+	for i := range tx.writeLog {
+		if tx.writeLog[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Read returns the value of id, preferring the transaction's own buffered
@@ -82,8 +101,8 @@ func (tx *Tx) Reset(view View) {
 // detect a fatal conflict and abort as a no-op (Section III-A, Bayou-style
 // conflict checks).
 func (tx *Tx) Read(id ObjectID) (Value, bool) {
-	tx.readSet[id] = struct{}{}
-	if i, ok := tx.writeMap[id]; ok {
+	tx.reads = append(tx.reads, id)
+	if i := tx.buffered(id); i >= 0 {
 		return tx.writeLog[i].Val, true
 	}
 	v, ok := tx.view.Read(id)
@@ -98,12 +117,14 @@ func (tx *Tx) Read(id ObjectID) (Value, bool) {
 // copy of v, stored into a buffer recovered from a previous run when the
 // transaction has been Reset.
 func (tx *Tx) Write(id ObjectID, v Value) {
-	tx.readSet[id] = struct{}{}
-	if i, ok := tx.writeMap[id]; ok {
+	tx.reads = append(tx.reads, id)
+	if i := tx.buffered(id); i >= 0 {
 		tx.writeLog[i].Val = append(tx.writeLog[i].Val[:0], v...)
 		return
 	}
-	tx.writeMap[id] = len(tx.writeLog)
+	if len(tx.writeLog) == 0 || id > tx.maxWrite {
+		tx.maxWrite = id
+	}
 	if n := len(tx.writeLog); n < cap(tx.writeLog) {
 		// Reslice into a record left over from before the last Reset and
 		// overwrite it in place, reusing its value buffer.
@@ -118,21 +139,16 @@ func (tx *Tx) Write(id ObjectID, v Value) {
 
 // ReadSet returns the ids read (including written ids), sorted.
 func (tx *Tx) ReadSet() IDSet {
-	ids := make(IDSet, 0, len(tx.readSet))
-	for id := range tx.readSet {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return NewIDSet(tx.reads...)
 }
 
 // WriteSet returns the ids written, sorted.
 func (tx *Tx) WriteSet() IDSet {
-	ids := make(IDSet, 0, len(tx.writeMap))
-	for id := range tx.writeMap {
-		ids = append(ids, id)
+	ids := make(IDSet, len(tx.writeLog))
+	for i, w := range tx.writeLog {
+		ids[i] = w.ID
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -154,3 +154,83 @@ func TestTxReset(t *testing.T) {
 		t.Fatalf("reused buffer kept stale length: %v", ws[0].Val)
 	}
 }
+
+// TestTxBlindWriteCollapse writes 1,024 distinct objects, in an order
+// that is neither ascending nor descending, with every eighth write a
+// repeat of an earlier id. Writes must keep first-write order, later
+// values must win, read-your-writes must see the latest buffered value,
+// and a Reset run after it must start clean.
+func TestTxBlindWriteCollapse(t *testing.T) {
+	const n = 1024
+	tx := NewTx(StateView{S: NewState()})
+	// id(i) visits 0..n-1 in a scrambled order (511 is odd, so it is a
+	// bijection mod 1,024).
+	id := func(i int) ObjectID { return ObjectID(1 + (i*511)%n) }
+	want := make(map[ObjectID]float64)
+	var order []ObjectID
+	for i := 0; i < n; i++ {
+		tx.Write(id(i), Value{float64(i)})
+		want[id(i)] = float64(i)
+		order = append(order, id(i))
+		if i%8 == 7 {
+			r := id(i / 2)
+			tx.Write(r, Value{float64(-i)})
+			want[r] = float64(-i)
+		}
+	}
+	ws := tx.Writes()
+	if len(ws) != n {
+		t.Fatalf("%d write records, want %d", len(ws), n)
+	}
+	for i, w := range ws {
+		if w.ID != order[i] {
+			t.Fatalf("record %d is object %d, want %d (first-write order)", i, w.ID, order[i])
+		}
+		if len(w.Val) != 1 || w.Val[0] != want[w.ID] {
+			t.Fatalf("object %d = %v, want [%v] (the last write)", w.ID, w.Val, want[w.ID])
+		}
+		if v, ok := tx.Read(w.ID); !ok || v[0] != want[w.ID] {
+			t.Fatalf("read-your-writes on %d = %v, %v", w.ID, v, ok)
+		}
+	}
+	if got := tx.WriteSet(); got.Len() != n || got[0] != 1 || got[n-1] != n {
+		t.Fatalf("WriteSet spans %d ids [%d..%d]", got.Len(), got[0], got[got.Len()-1])
+	}
+	if got := tx.ReadSet(); !got.Equal(tx.WriteSet()) {
+		t.Fatalf("ReadSet has %d ids, want the %d written", got.Len(), n)
+	}
+
+	tx.Reset(StateView{S: NewState()})
+	if _, ok := tx.Read(id(3)); ok {
+		t.Fatal("buffered write survived Reset")
+	}
+	tx.Write(5, Value{1})
+	tx.Write(2, Value{2})
+	if v, ok := tx.Read(5); !ok || v[0] != 1 {
+		t.Fatalf("read-your-writes below the largest written id = %v, %v", v, ok)
+	}
+	if ws := tx.Writes(); len(ws) != 2 || ws[0].ID != 5 || ws[1].ID != 2 {
+		t.Fatalf("writes after Reset = %v", ws)
+	}
+}
+
+// TestTxReadSetDedups checks the read log is reported as a set: sorted,
+// each id once, including ids that were only written.
+func TestTxReadSetDedups(t *testing.T) {
+	s := NewState()
+	for _, id := range []ObjectID{4, 9, 1} {
+		s.Set(id, Value{1})
+	}
+	tx := NewTx(StateView{S: s})
+	for _, id := range []ObjectID{9, 4, 9, 1, 4} {
+		tx.Read(id)
+	}
+	tx.Write(7, Value{7})
+	tx.Write(4, Value{4})
+	if got := tx.ReadSet(); !got.Equal(IDSet{1, 4, 7, 9}) {
+		t.Fatalf("ReadSet = %v, want [1 4 7 9]", got)
+	}
+	if got := tx.WriteSet(); !got.Equal(IDSet{4, 7}) {
+		t.Fatalf("WriteSet = %v, want [4 7]", got)
+	}
+}

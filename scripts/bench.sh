@@ -4,7 +4,9 @@
 # benches, the conflict-index microbenches (BenchmarkClosureDeepQueue,
 # BenchmarkTickManyClients), the delivery-path microbenches from the
 # pooled-encoding PR (BenchmarkEncodeBatch, BenchmarkPushFanOut,
-# BenchmarkClientReconcileDeepQueue), and the sharded-serializer round
+# BenchmarkClientReconcileDeepQueue), the client stable-evaluation
+# microbenches (BenchmarkClientApplyRemote, BenchmarkTxBlindWrite at 64
+# and 1,024 writes), and the sharded-serializer round
 # benches (BenchmarkShardedSubmit, BenchmarkShardedTick), the
 # shardscale experiment sweep from the sharding PR, the adversarial
 # delivery sweep from the superseding-queue PR (drop-at-cap vs
@@ -43,6 +45,8 @@ go test -run '^$' -bench 'BenchmarkClosureDeepQueue|BenchmarkTickManyClients' \
 go test -run '^$' -bench 'BenchmarkShardedSubmit|BenchmarkShardedTick' \
     -benchmem -benchtime 50x . | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkEncodeBatch|BenchmarkPushFanOut|BenchmarkClientReconcileDeepQueue' \
+    -benchmem . | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkClientApplyRemote|BenchmarkTxBlindWrite' \
     -benchmem . | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkFig6|BenchmarkFig7' -benchmem . | tee -a "$raw"
 

@@ -15,7 +15,8 @@
 # fuzz pass keeps Decode honest against hostile frames beyond the
 # checked-in corpus; the coverage gate keeps the protocol engine, the
 # reconnect-capable transport, and the client evaluation path's wall
-# index and version store from losing test reach as they grow
+# index, version store, transactions, actions and moves from losing
+# test reach as they grow
 # (baselines sit a little under the measured coverage so legitimate
 # refactors don't trip on noise).
 set -eu
@@ -54,3 +55,5 @@ cover_gate ./internal/transport 75
 cover_gate ./internal/integrity 90
 cover_gate ./internal/spatial 95
 cover_gate ./internal/world 90
+cover_gate ./internal/action 95
+cover_gate ./internal/manhattan 85
